@@ -89,6 +89,7 @@ func (d *DeepSea) ProcessBatchContext(items []BatchItem) ([]QueryReport, []error
 			return
 		}
 		rep, quar, err := d.finishPlanned(l.ctx, l.pq)
+		defer d.releaseRemat(quar)
 		if err == nil {
 			rep.Quarantined = quar
 			reports[l.idx] = rep

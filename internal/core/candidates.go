@@ -310,11 +310,14 @@ func (d *DeepSea) fragCandidates(q query.Node, bestRW *matching.Rewriting) []fra
 			pstat := d.Stats.Partition(viewID, rp.Col, dom)
 
 			pv := d.Pool.View(viewID)
-			// Bound the tracked-fragment population: expired candidates
-			// carry no benefit signal and only slow the MLE fit.
+			// Bound the tracked-fragment population and each survivor's
+			// hit history: expired candidates and hits carry no benefit
+			// signal and only slow the MLE fit. Co-access merging keeps
+			// full histories: sharedHits counts co-accesses over all
+			// time, expired ones included.
 			pstat.PruneExpired(now, d.Stats.Decay, func(iv interval.Interval) bool {
 				return d.fragMaterialized(viewID, rp.Col, iv)
-			})
+			}, !d.Cfg.MergeFragments)
 			var materializedPart = false
 			if pv != nil && pv.Parts[rp.Col] != nil && pv.Parts[rp.Col].NumFragments() > 0 {
 				materializedPart = true

@@ -105,7 +105,7 @@ type DeepSea struct {
 
 	// mleCache memoizes MLE fits within one selection pass. Guarded by
 	// planMu.
-	mleCache     map[string]stats.NormalModel
+	mleCache     map[mleKey]stats.NormalModel
 	mleCacheTime float64
 
 	// planAcq counts planMu acquisitions; inflight and queries count
@@ -116,9 +116,12 @@ type DeepSea struct {
 	queries  atomic.Uint64
 
 	// quarMu guards quarLog, the cumulative list of storage paths ever
-	// quarantined (leaf lock: never held while acquiring another).
-	quarMu  sync.Mutex
-	quarLog []string
+	// quarantined, and parkedRemat, the re-materializations of paths
+	// whose quarantining query is still retrying (leaf lock: never held
+	// while acquiring another).
+	quarMu      sync.Mutex
+	quarLog     []string
+	parkedRemat map[string]*rematTask
 
 	// store is the persistence boundary (nil without a datastore): every
 	// pool/engine/stats mutation journals through it, and Snapshot
@@ -393,6 +396,7 @@ func (d *DeepSea) ProcessQueryContext(ctx context.Context, q query.Node) (QueryR
 func (d *DeepSea) processWithRetries(ctx context.Context, q query.Node, key string) (QueryReport, error) {
 	maxRetries := d.Cfg.faultRetries()
 	var quarantined []string
+	defer func() { d.releaseRemat(quarantined) }()
 	for attempt := 0; ; attempt++ {
 		rep, quar, err := d.processOnce(ctx, q, key)
 		quarantined = append(quarantined, quar...)
@@ -736,6 +740,7 @@ func (d *DeepSea) finishPlanned(ctx context.Context, pq *plannedQuery) (QueryRep
 			report.Evicted = append(report.Evicted, item.Key())
 		}
 	}
+	matCost.Add(d.settleRetryBacklog(lockIDs))
 	// GC only the views this query touched: emptying a view requires
 	// mutating it, and every mutation above stayed inside the lock set.
 	d.Pool.GCViews(lockIDs...)
@@ -807,9 +812,10 @@ func (d *DeepSea) quarantineFromError(plan query.Node, runErr error) []string {
 // error. Reports whether the file was removed.
 //
 // In background mode the rows are captured before the delete and a
-// speculative re-materialization task is enqueued: the read fault was
-// transient (the simulated store still holds the rows), so the pool can
-// be healed without waiting for a future query to re-derive the range.
+// speculative re-materialization task is parked (see parkRemat): the
+// read fault was transient (the simulated store still holds the rows),
+// so the pool can be healed without waiting for a future query to
+// re-derive the range.
 func (d *DeepSea) quarantine(viewID, path string) bool {
 	held := d.views.lockViews([]string{viewID})
 	defer d.views.unlockViews(held)
@@ -829,7 +835,7 @@ func (d *DeepSea) quarantine(viewID, path string) bool {
 		d.Eng.DeleteMaterialized(path)
 		d.Pool.DropViewFile(viewID)
 		d.Pool.GCViews(viewID)
-		d.enqueueRemat(&rematTask{
+		d.parkRemat(&rematTask{
 			viewID: viewID, path: path, schema: schema,
 			isView: true, rows: rows, size: size,
 		})
@@ -845,7 +851,7 @@ func (d *DeepSea) quarantine(viewID, path string) bool {
 				d.Eng.DeleteMaterialized(path)
 				d.Pool.RemoveFragment(viewID, attr, fr.Iv)
 				d.Pool.GCViews(viewID)
-				d.enqueueRemat(&rematTask{
+				d.parkRemat(&rematTask{
 					viewID: viewID, path: path, schema: pv.Schema,
 					attr: attr, iv: fr.Iv, dom: part.Dom,
 					overlapping: part.Overlapping,

@@ -517,6 +517,37 @@ func (d *DeepSea) refreshRetry(id string) refreshOutcome {
 	return refreshStillStale
 }
 
+// settleRetryBacklog refreshes the inline retry-backlog views among ids,
+// whose stripes the caller holds exclusively, and returns the cost. A
+// view materialized while an append raced its query's execution
+// registers stale with no consistency point (registerIngestView), and
+// its refresh drops it; settling it here keeps it from lingering stale
+// until the next append arrives. No-op in background mode, where
+// refreshes are enqueued instead.
+func (d *DeepSea) settleRetryBacklog(ids []string) engine.Cost {
+	var total engine.Cost
+	if d.maint != nil {
+		return total
+	}
+	s := d.ingest
+	var due []string
+	s.mu.Lock()
+	for _, id := range ids {
+		if s.retry[id] {
+			// Drained like inlineRefreshSet: a view that stays stale
+			// re-enters the backlog via refreshRetry.
+			delete(s.retry, id)
+			due = append(due, id)
+		}
+	}
+	s.mu.Unlock()
+	for _, id := range due {
+		cost, _ := d.applyRefreshLocked(id)
+		total.Add(cost)
+	}
+	return total
+}
+
 // inlineRefreshSet merges one append's dependent views with the inline
 // retry backlog (drained here; a view that stays stale re-enters it via
 // refreshRetry). Returns the union sorted by id.

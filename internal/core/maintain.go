@@ -194,6 +194,43 @@ func (d *DeepSea) enqueueMaintenance(pq *plannedQuery, captured map[query.Node]*
 	return n
 }
 
+// parkRemat holds a quarantined file's re-materialization until the
+// query that quarantined it settles (releaseRemat). Enqueued at once, a
+// worker could restore the file before the query's retry re-plans, and
+// the retry would pick the file again and fault on it again, until the
+// retry budget ran out. No-op without a background pool.
+func (d *DeepSea) parkRemat(p *rematTask) {
+	if d.maint == nil {
+		return
+	}
+	d.quarMu.Lock()
+	if d.parkedRemat == nil {
+		d.parkedRemat = make(map[string]*rematTask)
+	}
+	d.parkedRemat[p.path] = p
+	d.quarMu.Unlock()
+}
+
+// releaseRemat enqueues the parked re-materializations of the given
+// quarantined paths.
+func (d *DeepSea) releaseRemat(paths []string) {
+	if d.maint == nil || len(paths) == 0 {
+		return
+	}
+	var tasks []*rematTask
+	d.quarMu.Lock()
+	for _, path := range paths {
+		if p, ok := d.parkedRemat[path]; ok {
+			delete(d.parkedRemat, path)
+			tasks = append(tasks, p)
+		}
+	}
+	d.quarMu.Unlock()
+	for _, p := range tasks {
+		d.enqueueRemat(p)
+	}
+}
+
 // enqueueRemat queues a speculative re-materialization of a quarantined
 // file. No-op without a background pool (inline mode keeps the
 // historical behaviour: the range is re-derived by a future query).

@@ -188,7 +188,7 @@ func (d *DeepSea) partitionKey(vc viewCandidate) (string, interval.Interval, boo
 		}
 		n := 0
 		for _, f := range pstat.Fragments() {
-			n += len(f.Hits)
+			n += f.HitCount()
 		}
 		cands = append(cands, cand{attr: pstat.Attr, dom: pstat.Dom, hits: n})
 	}
@@ -245,7 +245,7 @@ func (d *DeepSea) initialPartitioning(vc viewCandidate, attr string, dom interva
 	if !d.Cfg.NoGuards {
 		isHot := func(iv interval.Interval) bool {
 			f, ok := pstat.Lookup(iv)
-			return ok && len(f.Hits) > 0
+			return ok && f.HitCount() > 0
 		}
 		ivs = guardSplit(ivs, isHot, 2)
 	}

@@ -87,3 +87,43 @@ func TestMergeRespectsUpperBound(t *testing.T) {
 		}
 	}
 }
+
+// TestMergeFragmentsKeepsFullHitHistory: co-access merging counts
+// shared hits over all history, so with MergeFragments set the
+// statistics must never compact expired hits; without it they do.
+func TestMergeFragmentsKeepsFullHitHistory(t *testing.T) {
+	// A timeout of a few repeated queries' worth of simulated time, so
+	// hits expire many times over during the run.
+	probe := newTestSystem(t, nil)
+	run(t, probe, q30(1000, 2999))
+	first := probe.Eng.Now()
+	run(t, probe, q30(1000, 2999))
+	tmax := 5 * (probe.Eng.Now() - first)
+
+	compacted := func(merge bool) (compacted, tracked int) {
+		d := newTestSystem(t, func(c *Config) {
+			c.MergeFragments = merge
+			c.DecayTMax = tmax
+		})
+		for i := 0; i < 40; i++ {
+			run(t, d, q30(1000-int64(i%4), 2999+int64(i%4)))
+		}
+		for _, vs := range d.Stats.Views() {
+			for _, pstat := range d.Stats.Partitions(vs.ID) {
+				for _, f := range pstat.Fragments() {
+					tracked++
+					if f.HitCount() != len(f.Hits) {
+						compacted++
+					}
+				}
+			}
+		}
+		return compacted, tracked
+	}
+	if n, tracked := compacted(true); n != 0 || tracked == 0 {
+		t.Errorf("MergeFragments: %d of %d fragments lost hit history, want 0 of >0", n, tracked)
+	}
+	if n, _ := compacted(false); n == 0 {
+		t.Error("without MergeFragments no hit history was compacted; the test proved nothing")
+	}
+}

@@ -277,7 +277,7 @@ func (d *DeepSea) fragBenefit(viewID, attr string, iv interval.Interval, now flo
 	case SelectDeepSeaRawHits:
 		return f.Benefit(now, decay, vs.Size, vs.Cost)
 	case SelectNectar:
-		if len(f.Hits) == 0 || vs.Size <= 0 {
+		if f.HitCount() == 0 || vs.Size <= 0 {
 			return 0
 		}
 		return float64(f.Size) / float64(vs.Size) * vs.Cost
@@ -285,7 +285,7 @@ func (d *DeepSea) fragBenefit(viewID, attr string, iv interval.Interval, now flo
 		if vs.Size <= 0 {
 			return 0
 		}
-		return float64(f.Size) / float64(vs.Size) * vs.Cost * float64(len(f.Hits))
+		return float64(f.Size) / float64(vs.Size) * vs.Cost * float64(f.HitCount())
 	default:
 		return 0
 	}
@@ -303,14 +303,17 @@ func (d *DeepSea) refreshFragSize(f *stats.FragStat, viewID string, pstat *stats
 	}
 }
 
+// mleKey identifies one (view, attribute) partition in the mleCache.
+type mleKey struct{ view, attr string }
+
 // normalModel memoizes FitNormal per (view, attr) within one simulated
 // timestamp — selection evaluates many fragments of the same partition.
 func (d *DeepSea) normalModel(viewID, attr string, pstat *stats.PartitionStat, now float64, decay stats.Decay) stats.NormalModel {
 	if d.mleCacheTime != now || d.mleCache == nil {
-		d.mleCache = make(map[string]stats.NormalModel)
+		d.mleCache = make(map[mleKey]stats.NormalModel)
 		d.mleCacheTime = now
 	}
-	key := viewID + "\x00" + attr
+	key := mleKey{viewID, attr}
 	if m, ok := d.mleCache[key]; ok {
 		return m
 	}

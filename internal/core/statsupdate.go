@@ -78,15 +78,18 @@ func (d *DeepSea) updateUseStats(rewritings []matching.Rewriting, orig engine.Co
 				}
 				needed = x
 			}
-			for _, f := range pstat.Fragments() {
-				if !f.Iv.Overlaps(needed) {
-					continue
+			// Fragments ascend by Lo: none past needed.Hi can overlap.
+			pstat.Ascend(func(f *stats.FragStat) bool {
+				if f.Iv.Lo > needed.Hi {
+					return false
 				}
-				if d.fragMaterialized(id, pstat.Attr, f.Iv) {
-					continue // hit only when actually chosen (above)
+				if f.Iv.Overlaps(needed) && !d.fragMaterialized(id, pstat.Attr, f.Iv) {
+					// Materialized fragments are hit only when actually
+					// chosen (above).
+					recordHit(id, pstat.Attr, f)
 				}
-				recordHit(id, pstat.Attr, f)
-			}
+				return true
+			})
 		}
 	}
 }

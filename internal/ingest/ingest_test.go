@@ -27,8 +27,8 @@ func TestDecodeSpecNormalizesNumbers(t *testing.T) {
 
 func TestSpecValidate(t *testing.T) {
 	for _, bad := range []string{
-		`{"rows":[[1]]}`,                  // no table
-		`{"table":"t"}`,                   // no rows
+		`{"rows":[[1]]}`,                   // no table
+		`{"table":"t"}`,                    // no rows
 		`{"table":"t","rows":[[1],[1,2]]}`, // ragged
 	} {
 		if _, err := DecodeSpec(bytes.NewReader([]byte(bad))); err == nil {

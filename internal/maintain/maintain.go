@@ -365,8 +365,8 @@ func (h taskHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h taskHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *taskHeap) Push(x any)        { *h = append(*h, x.(*Task)) }
+func (h taskHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *taskHeap) Push(x any)   { *h = append(*h, x.(*Task)) }
 func (h *taskHeap) Pop() any {
 	old := *h
 	n := len(old)

@@ -13,19 +13,22 @@ import (
 func TestOrdering(t *testing.T) {
 	var mu sync.Mutex
 	var got []string
+	// Stall the single worker on the gate task so all pushes land
+	// before any pop.
+	gate := make(chan struct{})
 	p := NewPool(1, 0, 1, func(batch []*Task) {
 		mu.Lock()
 		for _, task := range batch {
 			got = append(got, task.Payload.(string))
 		}
 		mu.Unlock()
+		if batch[0].Payload == "gate" {
+			<-gate
+		}
 	})
-	// Stall the single worker so all pushes land before any pop.
-	gate := make(chan struct{})
 	p.Push(&Task{Kind: KindSweep, Payload: "gate"})
 	// Wait until the gate task is in flight, then load the queue.
-	waitFor(t, func() bool { return p.Stats().InFlight == 1 || p.Stats().Completed == 1 })
-	_ = gate
+	waitFor(t, func() bool { return p.Stats().InFlight == 1 })
 
 	p.Push(&Task{Kind: KindMerge, Priority: 5, Payload: "merge"})
 	p.Push(&Task{Kind: KindMaterialize, Priority: 1, Payload: "mat-lo"})
@@ -33,6 +36,7 @@ func TestOrdering(t *testing.T) {
 	p.Push(&Task{Kind: KindSplit, Priority: 3, Payload: "split-a"})
 	p.Push(&Task{Kind: KindSplit, Priority: 3, Payload: "split-b"})
 	p.Push(&Task{Kind: KindRematerialize, Payload: "remat"})
+	close(gate)
 
 	if err := p.Drain(context.Background()); err != nil {
 		t.Fatal(err)
@@ -143,7 +147,7 @@ func TestFailedAccounting(t *testing.T) {
 func TestDrainContext(t *testing.T) {
 	block := make(chan struct{})
 	p := NewPool(1, 0, 64, func(batch []*Task) { <-block })
-	defer p.Close()        // LIFO: runs after the worker is unblocked
+	defer p.Close() // LIFO: runs after the worker is unblocked
 	defer close(block)
 	p.Push(&Task{Kind: KindSweep})
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)

@@ -401,6 +401,7 @@ func TestCrashRecoveryMidIngest(t *testing.T) {
 	// the SIGKILL severs the connection.
 	stop := make(chan struct{})
 	streamDone := make(chan int)
+	var ackedSoFar atomic.Int64
 	go func() {
 		sent := 0
 		for {
@@ -425,17 +426,17 @@ func TestCrashRecoveryMidIngest(t *testing.T) {
 				return
 			}
 			sent++
+			ackedSoFar.Store(int64(sent))
 		}
 	}()
 
-	// Let some batches land, then kill -9 mid-stream.
-	for {
-		var hz struct {
-			IngestAppends uint64 `json:"ingest_appends"`
-		}
-		crashGet(t, addr1, "/healthz", &hz)
-		if hz.IngestAppends >= 3 {
-			break
+	// Let some batches be acknowledged, then kill -9 mid-stream. (The
+	// server's own append count can run one batch ahead of the client's
+	// acknowledgements, so it is not the signal to wait for.)
+	deadline := time.Now().Add(30 * time.Second)
+	for ackedSoFar.Load() < 3 {
+		if time.Now().After(deadline) {
+			t.Fatalf("append stream stalled at %d acknowledged batches", ackedSoFar.Load())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

@@ -127,8 +127,8 @@ type ServingStats struct {
 // Server serves queries over one deepsea.System. Create with New,
 // expose Handler over any http.Server, stop with Shutdown.
 type Server struct {
-	cfg  Config
-	sys  *deepsea.System
+	cfg   Config
+	sys   *deepsea.System
 	lim   *limiter
 	bat   *batcher
 	coal  *ingest.Coalescer[deepsea.AppendReport]

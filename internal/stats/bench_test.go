@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -8,33 +9,44 @@ import (
 )
 
 // benchPartition builds a partition statistic with many tracked
-// fragments and a realistic hit history.
-func benchPartition(nFrags, hitsPerFrag int) *PartitionStat {
+// fragments and a realistic hit history: hits go round-robin over the
+// fragments across two decay windows, so about half of them have
+// expired at the returned tnow while every fragment still carries live
+// hit mass.
+func benchPartition(nFrags, hitsPerFrag int) (p *PartitionStat, tnow float64) {
 	rng := rand.New(rand.NewSource(1))
-	p := NewPartitionStat("v", "a", interval.New(0, 400000))
-	t := 1.0
-	for i := 0; i < nFrags; i++ {
+	p = NewPartitionStat("v", "a", interval.New(0, 400000))
+	frags := make([]*FragStat, nFrags)
+	for i := range frags {
 		lo := rng.Int63n(395000)
-		f := p.Frag(interval.New(lo, lo+4000))
-		f.Size = 1 << 27
-		for h := 0; h < hitsPerFrag; h++ {
-			t += 10
+		frags[i] = p.Frag(interval.New(lo, lo+4000))
+		frags[i].Size = 1 << 27
+	}
+	step := 2 * benchDecay.TMax / float64(nFrags*hitsPerFrag)
+	t := 1.0
+	for h := 0; h < hitsPerFrag; h++ {
+		for _, f := range frags {
+			t += step
 			f.RecordHit(t)
 		}
 	}
-	return p
+	return p, t
 }
 
+var benchDecay = Decay{TMax: 3000}
+
 func BenchmarkFitNormal(b *testing.B) {
-	p := benchPartition(100, 20)
-	d := Decay{TMax: 3000}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// tnow within the decay window of the most recent hits.
-		m := p.FitNormal(21000, d)
-		if !m.Valid() {
-			b.Fatal("invalid model")
-		}
+	for _, nFrags := range []int{100, 1000, 5000} {
+		b.Run(fmt.Sprintf("F=%d", nFrags), func(b *testing.B) {
+			p, tnow := benchPartition(nFrags, 20)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if m := p.FitNormal(tnow, benchDecay); !m.Valid() {
+					b.Fatal("invalid model")
+				}
+			}
+		})
 	}
 }
 

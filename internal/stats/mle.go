@@ -1,8 +1,9 @@
 package stats
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"deepsea/internal/interval"
 )
@@ -39,6 +40,13 @@ func (m NormalModel) AdjustedHits(iv interval.Interval) float64 {
 	return m.Htotal * (m.CDF(float64(iv.Hi)) - m.CDF(float64(iv.Lo)))
 }
 
+// fitPart is one boundary-aligned part of a FitNormal quantization and
+// the hit mass spread onto it.
+type fitPart struct {
+	iv   interval.Interval
+	hits float64
+}
+
 // FitNormal computes the maximum-likelihood normal distribution for the
 // partition's observed hits, following Section 7.1:
 //
@@ -54,37 +62,38 @@ func (m NormalModel) AdjustedHits(iv interval.Interval) float64 {
 //
 // are evaluated with x_i the part midpoints, w_i the per-part hits, and
 // n the number of parts (the paper's adjusted sample variance).
+//
+// A fit costs O(F log F + overlaps) for F tracked fragments: the parts
+// are sorted and disjoint, so each fragment binary-searches its first
+// part and stops at the first part past its end. Fragments are visited
+// in (Lo, Hi) order and each part's additions happen in that order, so
+// the result does not depend on how the overlaps were found.
 func (p *PartitionStat) FitNormal(tnow float64, d Decay) NormalModel {
-	frags := p.Fragments()
+	frags := p.order
 	if len(frags) == 0 {
 		return NormalModel{}
 	}
 
 	// Collect boundary-aligned atoms: cuts at every fragment Lo and
 	// Hi+1, clamped to the domain.
-	cutSet := map[int64]bool{p.Dom.Lo: true, p.Dom.Hi + 1: true}
+	cuts := append(p.fitCuts[:0], p.Dom.Lo, p.Dom.Hi+1)
 	for _, f := range frags {
 		if f.Iv.Lo >= p.Dom.Lo && f.Iv.Lo <= p.Dom.Hi {
-			cutSet[f.Iv.Lo] = true
+			cuts = append(cuts, f.Iv.Lo)
 		}
 		if f.Iv.Hi+1 > p.Dom.Lo && f.Iv.Hi+1 <= p.Dom.Hi+1 {
-			cutSet[f.Iv.Hi+1] = true
+			cuts = append(cuts, f.Iv.Hi+1)
 		}
 	}
-	cuts := make([]int64, 0, len(cutSet))
-	for c := range cutSet {
-		cuts = append(cuts, c)
-	}
-	sort.Slice(cuts, func(i, j int) bool { return cuts[i] < cuts[j] })
+	slices.Sort(cuts)
+	cuts = slices.Compact(cuts)
+	p.fitCuts = cuts
 
-	type part struct {
-		iv   interval.Interval
-		hits float64
-	}
-	parts := make([]part, 0, len(cuts)-1)
+	parts := p.fitParts[:0]
 	for i := 0; i+1 < len(cuts); i++ {
-		parts = append(parts, part{iv: interval.New(cuts[i], cuts[i+1]-1)})
+		parts = append(parts, fitPart{iv: interval.New(cuts[i], cuts[i+1]-1)})
 	}
+	p.fitParts = parts
 
 	// Spread each fragment's decayed hits over the parts it contains,
 	// proportionally to part length.
@@ -96,7 +105,11 @@ func (p *PartitionStat) FitNormal(tnow float64, d Decay) NormalModel {
 			continue
 		}
 		fragLen := float64(f.Iv.Len())
-		for i := range parts {
+		// First part ending at or after the fragment's start.
+		i, _ := slices.BinarySearchFunc(parts, f.Iv.Lo, func(pt fitPart, lo int64) int {
+			return cmp.Compare(pt.iv.Hi, lo)
+		})
+		for ; i < len(parts) && parts[i].iv.Lo <= f.Iv.Hi; i++ {
 			ov := parts[i].iv.OverlapLen(f.Iv)
 			if ov > 0 {
 				parts[i].hits += h * float64(ov) / fragLen

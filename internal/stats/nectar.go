@@ -71,7 +71,7 @@ func NectarPlusFragValue(f *FragStat, tnow float64, viewSize int64, viewCost flo
 		return 0
 	}
 	perHit := float64(f.Size) / float64(viewSize) * viewCost
-	sum := perHit * float64(len(f.Hits))
+	sum := perHit * float64(f.HitCount())
 	dt := tnow - f.Hits[len(f.Hits)-1]
 	if dt < minDeltaT {
 		dt = minDeltaT

@@ -14,19 +14,24 @@ import (
 
 // ViewSnap is one ViewStat's durable state.
 type ViewSnap struct {
-	ID       string `json:"id"`
-	Size     int64  `json:"size,omitempty"`
+	ID       string  `json:"id"`
+	Size     int64   `json:"size,omitempty"`
 	Cost     float64 `json:"cost,omitempty"`
-	Measured bool   `json:"measured,omitempty"`
-	Uses     []Use  `json:"uses,omitempty"`
+	Measured bool    `json:"measured,omitempty"`
+	Uses     []Use   `json:"uses,omitempty"`
 }
 
-// FragSnap is one FragStat's durable state.
+// FragSnap is one FragStat's durable state. Hits holds the retained
+// hits only; Dropped and Base describe the compacted prefix (see
+// FragStat.compact). Snapshots written before compaction existed lack
+// both and restore as uncompacted records.
 type FragSnap struct {
 	Iv       interval.Interval `json:"iv"`
 	Size     int64             `json:"size,omitempty"`
 	Measured bool              `json:"measured,omitempty"`
 	Hits     []float64         `json:"hits,omitempty"`
+	Dropped  int               `json:"dropped,omitempty"`
+	Base     float64           `json:"base,omitempty"`
 }
 
 // PartSnap is one PartitionStat's durable state.
@@ -65,10 +70,11 @@ func (r *Registry) Snapshot() *RegistrySnap {
 					View: p.View, Attr: p.Attr, Dom: p.Dom,
 					Cand: append(interval.Set(nil), p.Cand...),
 				}
-				for _, f := range p.Fragments() {
+				for _, f := range p.order {
 					ps.Frags = append(ps.Frags, FragSnap{
 						Iv: f.Iv, Size: f.Size, Measured: f.Measured,
-						Hits: append([]float64(nil), f.Hits...),
+						Hits:    append([]float64(nil), f.Hits...),
+						Dropped: f.dropped, Base: f.base,
 					})
 				}
 				snap.Parts = append(snap.Parts, ps)
@@ -108,6 +114,9 @@ func (r *Registry) Restore(snap *RegistrySnap) {
 		for _, fs := range ps.Frags {
 			f := p.Frag(fs.Iv)
 			f.Size, f.Measured = fs.Size, fs.Measured
+			// RecordHit continues the prefix sums from base, so the
+			// restored cumT holds the same floats as the snapshotted one.
+			f.dropped, f.base = fs.Dropped, fs.Base
 			for _, t := range fs.Hits {
 				f.RecordHit(t)
 			}

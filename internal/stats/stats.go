@@ -6,8 +6,10 @@
 package stats
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -195,13 +197,24 @@ type FragStat struct {
 	Size int64
 	// Measured mirrors ViewStat.Measured.
 	Measured bool
-	// Hits are the timestamps at which the fragment was (or could have
-	// been) used. Append via RecordHit only: timestamps must be
-	// non-decreasing so the prefix sums stay in sync.
+	// Hits are the retained hit timestamps, oldest first. Append via
+	// RecordHit only: timestamps must be non-decreasing so the prefix
+	// sums stay in sync. PartitionStat.PruneExpired may drop an expired
+	// prefix (see compact), so len(Hits) is not the number of hits ever
+	// recorded — use HitCount for that. The most recent hit is always
+	// retained.
 	Hits []float64
 
-	// cumT[i] = Σ_{j<=i} Hits[j]; see ViewStat.cumSavingT.
+	// cumT[i] = base + Σ_{j<=i} Hits[j], the prefix sum over the whole
+	// history; see ViewStat.cumSavingT. Compaction drops a prefix of
+	// cumT without rebasing it, so every suffix sum stays the same float
+	// it was before.
 	cumT []float64
+	// dropped counts the expired hits compaction removed from the front
+	// of Hits; base is the cumT value of the last dropped hit (the sum
+	// of every dropped timestamp).
+	dropped int
+	base    float64
 
 	// view and attr identify the owning partition for journaling; set by
 	// PartitionStat.Frag (empty for free-standing records, which then
@@ -213,13 +226,17 @@ type FragStat struct {
 // RecordHit appends a hit timestamp. Timestamps must be non-decreasing.
 func (f *FragStat) RecordHit(t float64) {
 	f.Hits = append(f.Hits, t)
-	prev := 0.0
+	prev := f.base
 	if n := len(f.cumT); n > 0 {
 		prev = f.cumT[n-1]
 	}
 	f.cumT = append(f.cumT, prev+t)
 	f.journal.emit(datastore.Record{Op: "hit", View: f.view, Attr: f.attr, Iv: f.Iv, T: t})
 }
+
+// HitCount returns the number of hits ever recorded, including those
+// compaction dropped.
+func (f *FragStat) HitCount() int { return f.dropped + len(f.Hits) }
 
 // DecayedHits returns H(I) = Σ DEC(tnow, t) over the hit timestamps.
 func (f *FragStat) DecayedHits(tnow float64, d Decay) float64 {
@@ -236,8 +253,30 @@ func (f *FragStat) DecayedHits(tnow float64, d Decay) float64 {
 	sum := f.cumT[len(f.cumT)-1]
 	if k > 0 {
 		sum -= f.cumT[k-1]
+	} else if f.dropped > 0 {
+		// Every dropped hit has expired (compact only drops expired
+		// hits and the clock never goes backwards), so the uncompacted
+		// search would have stopped exactly at the cut.
+		sum -= f.base
 	}
 	return sum / tnow
+}
+
+// compact drops the hits that expired by tnow once they make up at
+// least half of Hits, always keeping the most recent hit. The result is
+// exact for every later tnow: an expired hit stays expired because the
+// engine clock never goes backwards, and cumT is cut, not rebased, so
+// DecayedHits returns the same float as on the uncompacted record.
+func (f *FragStat) compact(tnow float64, d Decay) {
+	n := len(f.Hits)
+	k := min(sort.SearchFloat64s(f.Hits, tnow-d.TMax), n-1)
+	if k <= 0 || 2*k < n {
+		return
+	}
+	f.base = f.cumT[k-1]
+	f.dropped += k
+	f.Hits = slices.Clone(f.Hits[k:])
+	f.cumT = slices.Clone(f.cumT[k:])
 }
 
 // Benefit returns B(I, tnow) = Σ (S(I)/S(V)) · COST(V) · DEC(tnow, t),
@@ -290,9 +329,18 @@ type PartitionStat struct {
 	// view is materialized, Cand becomes its initial partitioning.
 	Cand interval.Set
 
-	frags    map[interval.Interval]*FragStat
+	frags map[interval.Interval]*FragStat
+	// order holds the records of frags sorted by (Lo, Hi), maintained
+	// by Frag, Drop and PruneExpired so readers need no per-call sort.
+	order    []*FragStat
 	journal  *journalRef
 	counters *countersRef
+
+	// fitCuts and fitParts are FitNormal's scratch buffers, reused so a
+	// steady-state fit allocates nothing. Fits run only under the
+	// planning lock, so one set per partition suffices.
+	fitCuts  []int64
+	fitParts []fitPart
 }
 
 // RefineCand splits the candidate partitioning at the end points of the
@@ -347,9 +395,19 @@ func (p *PartitionStat) Frag(iv interval.Interval) *FragStat {
 	if !ok {
 		f = &FragStat{Iv: iv, view: p.View, attr: p.Attr, journal: p.journal}
 		p.frags[iv] = f
+		i, _ := slices.BinarySearchFunc(p.order, iv, cmpFragIv)
+		p.order = slices.Insert(p.order, i, f)
 		p.counters.add(0, 0, 1)
 	}
 	return f
+}
+
+// cmpFragIv orders fragment records by (Lo, Hi).
+func cmpFragIv(f *FragStat, iv interval.Interval) int {
+	if c := cmp.Compare(f.Iv.Lo, iv.Lo); c != 0 {
+		return c
+	}
+	return cmp.Compare(f.Iv.Hi, iv.Hi)
 }
 
 // Lookup returns the fragment statistics if present.
@@ -363,47 +421,56 @@ func (p *PartitionStat) Lookup(iv interval.Interval) (*FragStat, bool) {
 func (p *PartitionStat) Drop(iv interval.Interval) {
 	if _, ok := p.frags[iv]; ok {
 		delete(p.frags, iv)
+		i, _ := slices.BinarySearchFunc(p.order, iv, cmpFragIv)
+		p.order = slices.Delete(p.order, i, i+1)
 		p.counters.add(0, 0, -1)
 		p.journal.emit(datastore.Record{Op: "frag_drop", View: p.View, Attr: p.Attr, Iv: iv})
 	}
 }
 
 // Fragments returns all tracked fragment statistics sorted by interval.
-func (p *PartitionStat) Fragments() []*FragStat {
-	out := make([]*FragStat, 0, len(p.frags))
-	for _, f := range p.frags {
-		out = append(out, f)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Iv.Lo != out[j].Iv.Lo {
-			return out[i].Iv.Lo < out[j].Iv.Lo
+func (p *PartitionStat) Fragments() []*FragStat { return slices.Clone(p.order) }
+
+// Ascend calls fn on every tracked fragment in (Lo, Hi) order until fn
+// returns false. fn must not add or drop fragments of p.
+func (p *PartitionStat) Ascend(fn func(*FragStat) bool) {
+	for _, f := range p.order {
+		if !fn(f) {
+			return
 		}
-		return out[i].Iv.Hi < out[j].Iv.Hi
-	})
-	return out
+	}
 }
 
 // PruneExpired drops tracked fragments whose hit mass has fully decayed
 // (every hit older than the timeout) and that the keep predicate does not
 // protect (materialized fragments are kept regardless). Without pruning,
-// candidate statistics grow linearly with the workload and the MLE fit —
-// which scans all tracked fragments — turns quadratic.
-func (p *PartitionStat) PruneExpired(tnow float64, d Decay, keep func(interval.Interval) bool) int {
+// candidate statistics grow linearly with the workload, and so does the
+// cost of every MLE fit over them.
+//
+// With compact set it also drops the expired hit prefix of every
+// surviving fragment (see FragStat.compact), so hit history is bounded
+// by the decay window rather than by the workload's length. Callers
+// that read the full hit history must pass compact = false.
+func (p *PartitionStat) PruneExpired(tnow float64, d Decay, keep func(interval.Interval) bool, compact bool) int {
 	if d.TMax <= 0 {
 		return 0
 	}
 	n := 0
-	for iv, f := range p.frags {
-		if keep != nil && keep(iv) {
+	live := p.order[:0]
+	for _, f := range p.order {
+		if (keep != nil && keep(f.Iv)) || f.DecayedHits(tnow, d) > 0 {
+			if compact {
+				f.compact(tnow, d)
+			}
+			live = append(live, f)
 			continue
 		}
-		if f.DecayedHits(tnow, d) > 0 {
-			continue
-		}
-		delete(p.frags, iv)
-		p.journal.emit(datastore.Record{Op: "frag_drop", View: p.View, Attr: p.Attr, Iv: iv})
+		delete(p.frags, f.Iv)
+		p.journal.emit(datastore.Record{Op: "frag_drop", View: p.View, Attr: p.Attr, Iv: f.Iv})
 		n++
 	}
+	clear(p.order[len(live):])
+	p.order = live
 	if n > 0 {
 		p.counters.add(0, 0, -n)
 	}
@@ -414,7 +481,7 @@ func (p *PartitionStat) PruneExpired(tnow float64, d Decay, keep func(interval.I
 // tracked fragments.
 func (p *PartitionStat) TotalHits(tnow float64, d Decay) float64 {
 	var h float64
-	for _, f := range p.frags {
+	for _, f := range p.order {
 		h += f.DecayedHits(tnow, d)
 	}
 	return h

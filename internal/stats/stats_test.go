@@ -324,7 +324,7 @@ func TestPruneExpired(t *testing.T) {
 
 	n := p.PruneExpired(600, d, func(iv interval.Interval) bool {
 		return iv == interval.New(200, 299) // "materialized"
-	})
+	}, true)
 	if n != 2 {
 		t.Errorf("pruned %d, want 2 (the expired and the hitless)", n)
 	}
@@ -337,12 +337,15 @@ func TestPruneExpired(t *testing.T) {
 	if _, ok := p.Lookup(interval.New(200, 299)); !ok {
 		t.Error("protected fragment pruned")
 	}
+	if got := p.Fragments(); len(got) != 2 || got[0] != fresh || got[1] != protected {
+		t.Errorf("Fragments() after pruning = %v, want [fresh protected]", got)
+	}
 }
 
 func TestPruneExpiredNoTimeoutIsNoop(t *testing.T) {
 	p := NewPartitionStat("v", "a", interval.New(0, 1000))
 	p.Frag(interval.New(0, 99))
-	if n := p.PruneExpired(1000, Decay{}, nil); n != 0 {
+	if n := p.PruneExpired(1000, Decay{}, nil, true); n != 0 {
 		t.Errorf("pruned %d without a timeout", n)
 	}
 }

@@ -4,6 +4,7 @@
 # same check by construction.
 #
 # Stages:
+#    0. gofmt — fails when `gofmt -l .` lists any file
 #    1. go vet + build + full test suite
 #    2. full race-detector run (the concurrency suite's anchor)
 #    3. shuffled double run — flushes ordering-dependent tests
@@ -73,6 +74,15 @@ skipped() {
         echo "::warning title=ci.sh stage skipped::$1: $2"
     fi
 }
+
+echo "==> gofmt"
+# .bench_build/ holds the benchmark's build cache, not source.
+unformatted=$(gofmt -l . | grep -v '^\.bench_build/' || true)
+if [ -n "$unformatted" ]; then
+    echo "gofmt -l lists files that need formatting:"
+    echo "$unformatted"
+    exit 1
+fi
 
 echo "==> vet"
 $GO vet ./...
