@@ -117,14 +117,16 @@ func (d *DeepSea) trackViewCandidate(root, n query.Node) string {
 		// entry once so a warm restart matches views without having seen
 		// their defining queries.
 		if d.store != nil {
-			sch := n.Schema()
+			sch := sig.Schema()
 			d.appendRecord(datastore.Record{Op: "track_view", View: id, Sig: sig, Schema: &sch})
 		}
 		if saving := d.initialSaving(root, n, vs.Size); saving > 0 {
 			vs.RecordUse(d.Eng.Now(), saving)
 		}
 	}
-	d.Tree.Add(&matching.Entry{ID: id, Sig: sig, Schema: n.Schema()})
+	// The entry shares the signature's schema: a tracked view keeps one
+	// copy for as long as it is indexed.
+	d.Tree.Add(&matching.Entry{ID: id, Sig: sig, Schema: sig.Schema()})
 	return id
 }
 
@@ -483,8 +485,14 @@ func coverIsFineGrained(part *partition.Partition, cand interval.Interval, facto
 // uniformFragSize estimates a fragment's size as the view-size share of
 // its interval length (uniform-distribution assumption).
 func (d *DeepSea) uniformFragSize(viewID string, dom, iv interval.Interval) int64 {
-	vs, ok := d.Stats.LookupView(viewID)
-	if !ok || vs.Size <= 0 {
+	vs, _ := d.Stats.LookupView(viewID)
+	return uniformSize(vs, dom, iv)
+}
+
+// uniformSize is uniformFragSize for an already looked-up view (nil if
+// untracked).
+func uniformSize(vs *stats.ViewStat, dom, iv interval.Interval) int64 {
+	if vs == nil || vs.Size <= 0 {
 		return 0
 	}
 	return int64(float64(vs.Size) * float64(iv.Len()) / float64(dom.Len()))

@@ -103,10 +103,15 @@ type DeepSea struct {
 	pinMu  sync.Mutex
 	pinned map[string]int
 
-	// mleCache memoizes MLE fits within one selection pass. Guarded by
-	// planMu.
-	mleCache     map[mleKey]stats.NormalModel
+	// mleCache memoizes MLE fits per partition at one simulated
+	// timestamp (mleCacheTime). Guarded by planMu.
+	mleCache     map[*stats.PartitionStat]stats.NormalModel
 	mleCacheTime float64
+
+	// selectFn, when set, stands in for selectConfiguration. Only the
+	// differential tests set it, to record each round or to run a
+	// reference selection in lockstep with the production one.
+	selectFn func([]viewCandidate, []fragCandidate) ([]selectedView, []fragCandidate, []pool.Candidate)
 
 	// planAcq counts planMu acquisitions; inflight and queries count
 	// in-flight and started queries. Batch processing acquires planMu
@@ -531,7 +536,14 @@ func (d *DeepSea) planLocked(q query.Node, key string) (*plannedQuery, error) {
 	fcands := d.fragCandidates(q, bestRW)
 
 	// Step 6: VIEWSELECTION — filter (7.2) and greedy selection (7.3).
-	selViews, selFrags, evict := d.selectConfiguration(vcands, fcands)
+	var selViews []selectedView
+	var selFrags []fragCandidate
+	var evict []pool.Candidate
+	if d.selectFn != nil {
+		selViews, selFrags, evict = d.selectFn(vcands, fcands)
+	} else {
+		selViews, selFrags, evict = d.selectConfiguration(vcands, fcands)
+	}
 
 	// Step 7: INSTRUMENTQUERY — capture candidate intermediates.
 	capture := make(map[query.Node]bool)

@@ -409,7 +409,7 @@ func (d *DeepSea) applyRemat(p *rematTask) (engine.Cost, error) {
 		}
 		if !p.isView {
 			if part := pv.Parts[p.attr]; part != nil {
-				if _, _, gaps := part.Cover(p.iv); len(gaps) == 0 {
+				if part.Covers(p.iv) {
 					return engine.Cost{}, nil
 				}
 			}

@@ -35,6 +35,43 @@ type selectedView struct {
 // returns the views/fragments to materialize and the pool items to
 // evict.
 func (d *DeepSea) selectConfiguration(vcands []viewCandidate, fcands []fragCandidate) ([]selectedView, []fragCandidate, []pool.Candidate) {
+	r := d.rankCandidates(vcands, fcands)
+	keep, reject := pool.SelectGreedy(r.items, d.Cfg.Smax)
+	return r.choose(keep, reject)
+}
+
+// candKey identifies a selection candidate like pool.Candidate.Key, as
+// a comparable value that needs no string building.
+type candKey struct {
+	kind       pool.CandidateKind
+	view, attr string
+	iv         interval.Interval
+}
+
+func keyOf(c pool.Candidate) candKey { return candKey{c.Kind, c.ViewID, c.Attr, c.Iv} }
+
+// newPiece is an initial fragment of a view candidate.
+type newPiece struct {
+	vc   viewCandidate
+	attr string
+	dom  interval.Interval
+	iv   interval.Interval
+}
+
+// ranking is one selection round's ALLCAND and, for each candidate not
+// yet in the pool, what selecting it materializes.
+type ranking struct {
+	items  []pool.Candidate
+	views  map[candKey]selectedView  // whole-view candidates
+	pieces map[candKey]newPiece      // initial-fragment candidates
+	frags  map[candKey]fragCandidate // refinement candidates
+}
+
+// rankCandidates filters the candidates (Section 7.2) and values every
+// element of ALLCAND. Each partition's statistics are looked up once
+// and its fragments valued through them; the values, and the records
+// valuation creates, are those of looking each fragment up on its own.
+func (d *DeepSea) rankCandidates(vcands []viewCandidate, fcands []fragCandidate) *ranking {
 	now := d.Eng.Now()
 	decay := d.Stats.Decay
 
@@ -47,38 +84,39 @@ func (d *DeepSea) selectConfiguration(vcands []viewCandidate, fcands []fragCandi
 			vsel = append(vsel, vc)
 		}
 	}
-	var psel []fragCandidate
+	type selFrag struct {
+		fc fragCandidate
+		ps partStats
+	}
+	var psel []selFrag
 	for _, fc := range fcands {
-		if fc.createCost <= d.fragBenefit(fc.viewID, fc.attr, fc.iv, now, decay) {
-			psel = append(psel, fc)
+		ps := d.lookupPart(fc.viewID, fc.attr)
+		if fc.createCost <= d.fragBenefit(&ps, fc.iv, now, decay) {
+			psel = append(psel, selFrag{fc, ps})
 		}
 	}
 
 	// ALLCAND: filtered candidates + pool fragments + pool whole views.
-	type newPiece struct {
-		vc   viewCandidate
-		attr string
-		dom  interval.Interval
-		iv   interval.Interval
+	r := &ranking{
+		views:  make(map[candKey]selectedView),
+		pieces: make(map[candKey]newPiece),
+		frags:  make(map[candKey]fragCandidate),
 	}
-	var items []pool.Candidate
-	backV := make(map[string]viewCandidate)    // whole-view candidates
-	backP := make(map[string]newPiece)         // initial-fragment candidates
-	backF := make(map[string]fragCandidate)    // refinement candidates
-	wholeInfo := make(map[string]selectedView) // id -> attr/dom for whole views
-	for _, fc := range psel {
+	for i := range psel {
+		fc := psel[i].fc
 		c := pool.Candidate{
 			Kind:   pool.Frag,
 			ViewID: fc.viewID,
 			Attr:   fc.attr,
 			Iv:     fc.iv,
 			Size:   fc.estSize,
-			Value:  d.fragValue(fc.viewID, fc.attr, fc.iv, now, decay),
+			Value:  d.fragValue(&psel[i].ps, fc.iv, now, decay),
 		}
-		items = append(items, c)
-		backF[c.Key()] = fc
+		r.items = append(r.items, c)
+		r.frags[keyOf(c)] = fc
 	}
 	for _, vc := range vsel {
+		vs := d.Stats.View(vc.id)
 		proposed := false
 		if d.Cfg.adaptive() {
 			// Propose initial fragments for EVERY partition attribute
@@ -90,6 +128,7 @@ func (d *DeepSea) selectConfiguration(vcands []viewCandidate, fcands []fragCandi
 					continue
 				}
 				attr, dom := pstat.Attr, pstat.Dom
+				ps := partStats{vs: vs, pstat: pstat}
 				pieces := []interval.Interval(pstat.Cand.Clone())
 				if len(pieces) == 0 {
 					pieces = []interval.Interval{dom}
@@ -100,7 +139,7 @@ func (d *DeepSea) selectConfiguration(vcands []viewCandidate, fcands []fragCandi
 				// never be admitted and its range would stay a
 				// permanent hole.
 				pieces = coalesceMin(pieces, func(iv interval.Interval) int64 {
-					return d.uniformFragSize(vc.id, dom, iv)
+					return uniformSize(vs, dom, iv)
 				}, d.Cfg.minFragBytes())
 				var existing *partition.Partition
 				if pv := d.Pool.View(vc.id); pv != nil {
@@ -108,25 +147,23 @@ func (d *DeepSea) selectConfiguration(vcands []viewCandidate, fcands []fragCandi
 				}
 				proposed = true
 				for _, iv := range pieces {
-					size := d.uniformFragSize(vc.id, dom, iv)
-					if existing != nil {
-						if _, _, gaps := existing.Cover(iv); len(gaps) == 0 {
-							continue // already materialized
-						}
+					if existing != nil && existing.Covers(iv) {
+						continue // already materialized
 					}
 					c := pool.Candidate{
 						Kind:   pool.Frag,
 						ViewID: vc.id,
 						Attr:   attr,
 						Iv:     iv,
-						Size:   size,
-						Value:  d.fragValue(vc.id, attr, iv, now, decay),
+						Size:   uniformSize(vs, dom, iv),
+						Value:  d.fragValue(&ps, iv, now, decay),
 					}
-					if _, dup := backF[c.Key()]; dup {
+					k := keyOf(c)
+					if _, dup := r.frags[k]; dup {
 						continue // a refinement candidate covers this piece
 					}
-					items = append(items, c)
-					backP[c.Key()] = newPiece{vc: vc, attr: attr, dom: dom, iv: iv}
+					r.items = append(r.items, c)
+					r.pieces[k] = newPiece{vc: vc, attr: attr, dom: dom, iv: iv}
 				}
 			}
 		}
@@ -137,16 +174,15 @@ func (d *DeepSea) selectConfiguration(vcands []viewCandidate, fcands []fragCandi
 			Kind:   pool.WholeView,
 			ViewID: vc.id,
 			Size:   vc.estBytes,
-			Value:  d.viewValue(d.Stats.View(vc.id), now, decay),
+			Value:  d.viewValue(vs, now, decay),
 		}
-		items = append(items, c)
-		backV[c.Key()] = vc
+		r.items = append(r.items, c)
 		attr, dom, _ := d.partitionKey(vc)
-		wholeInfo[vc.id] = selectedView{vc: vc, attr: attr, dom: dom}
+		r.views[keyOf(c)] = selectedView{vc: vc, attr: attr, dom: dom}
 	}
 	for _, pv := range d.Pool.Views() {
 		if pv.Path != "" {
-			items = append(items, pool.Candidate{
+			r.items = append(r.items, pool.Candidate{
 				Kind:   pool.WholeView,
 				ViewID: pv.ID,
 				Size:   pv.Size,
@@ -155,42 +191,46 @@ func (d *DeepSea) selectConfiguration(vcands []viewCandidate, fcands []fragCandi
 			})
 		}
 		for _, attr := range pv.PartAttrs() {
+			ps := d.lookupPart(pv.ID, attr)
 			for _, f := range pv.Parts[attr].Fragments() {
-				items = append(items, pool.Candidate{
+				r.items = append(r.items, pool.Candidate{
 					Kind:   pool.Frag,
 					ViewID: pv.ID,
 					Attr:   attr,
 					Iv:     f.Iv,
 					Size:   f.Size,
-					Value:  d.fragValue(pv.ID, attr, f.Iv, now, decay),
+					Value:  d.fragValue(&ps, f.Iv, now, decay),
 					InPool: true,
 				})
 			}
 		}
 	}
+	return r
+}
 
-	keep, reject := pool.SelectGreedy(items, d.Cfg.Smax)
-
-	// Group selected pieces by (view, attribute): a view may gain
-	// partitions on several attributes in one round.
-	byView := make(map[string]*selectedView)
-	var order []string
+// choose turns the greedy's kept and rejected candidates into the
+// views and fragments to materialize and the pool items to evict.
+// Selected pieces are grouped by (view, attribute): a view may gain
+// partitions on several attributes in one round.
+func (r *ranking) choose(keep, reject []pool.Candidate) ([]selectedView, []fragCandidate, []pool.Candidate) {
+	byView := make(map[viewAttr]*selectedView)
+	var order []viewAttr
 	var selFrags []fragCandidate
 	for _, c := range keep {
 		if c.InPool {
 			continue
 		}
-		if vc, ok := backV[c.Key()]; ok {
-			key := vc.id
-			sv := wholeInfo[vc.id]
+		k := keyOf(c)
+		if sv, ok := r.views[k]; ok {
+			key := viewAttr{view: sv.vc.id}
 			sv.value = c.Value
 			if _, seen := byView[key]; !seen {
 				byView[key] = &sv
 				order = append(order, key)
 			}
 		}
-		if np, ok := backP[c.Key()]; ok {
-			key := np.vc.id + "\x00" + np.attr
+		if np, ok := r.pieces[k]; ok {
+			key := viewAttr{view: np.vc.id, attr: np.attr}
 			sv, seen := byView[key]
 			if !seen {
 				sv = &selectedView{vc: np.vc, attr: np.attr, dom: np.dom}
@@ -202,14 +242,14 @@ func (d *DeepSea) selectConfiguration(vcands []viewCandidate, fcands []fragCandi
 				sv.value = c.Value
 			}
 		}
-		if fc, ok := backF[c.Key()]; ok {
+		if fc, ok := r.frags[k]; ok {
 			fc.value = c.Value
 			selFrags = append(selFrags, fc)
 		}
 	}
 	var selViews []selectedView
-	for _, id := range order {
-		selViews = append(selViews, *byView[id])
+	for _, key := range order {
+		selViews = append(selViews, *byView[key])
 	}
 	var evict []pool.Candidate
 	for _, c := range reject {
@@ -219,6 +259,10 @@ func (d *DeepSea) selectConfiguration(vcands []viewCandidate, fcands []fragCandi
 	}
 	return selViews, selFrags, evict
 }
+
+// viewAttr names one (view, attribute) pair; attr is empty for a view
+// stored whole.
+type viewAttr struct{ view, attr string }
 
 // viewBenefit returns the admission benefit of a view under the
 // configured policy.
@@ -253,24 +297,63 @@ func (d *DeepSea) viewValue(vs *stats.ViewStat, now float64, decay stats.Decay) 
 	}
 }
 
-// fragBenefit returns the admission benefit of a fragment under the
-// configured policy. For the full DeepSea policy hits are smoothed by the
-// partition's MLE normal fit (Section 7.1's probabilistic model).
-func (d *DeepSea) fragBenefit(viewID, attr string, iv interval.Interval, now float64, decay stats.Decay) float64 {
+// partStats is one (view, attribute) partition's statistics, looked
+// up once so that each of its fragments is valued without registry
+// lookups. The zero value (view or partition untracked) values every
+// fragment at 0 and creates no record.
+type partStats struct {
+	vs    *stats.ViewStat
+	pstat *stats.PartitionStat
+	// model is the partition's MLE fit at the round's timestamp, taken
+	// on the first valuation that needs it (fitted), after the records
+	// created before it.
+	model  stats.NormalModel
+	fitted bool
+}
+
+// lookupPart resolves a partition's statistics.
+func (d *DeepSea) lookupPart(viewID, attr string) partStats {
 	vs, ok := d.Stats.LookupView(viewID)
 	if !ok {
-		return 0
+		return partStats{}
 	}
 	pstat, ok := d.Stats.LookupPartition(viewID, attr)
 	if !ok {
+		return partStats{}
+	}
+	return partStats{vs: vs, pstat: pstat}
+}
+
+// frag returns the partition's record for iv, creating it on first use,
+// with its size estimate refreshed.
+func (ps *partStats) frag(iv interval.Interval) *stats.FragStat {
+	f := ps.pstat.Frag(iv)
+	refreshFragSize(f, ps.vs, ps.pstat.Dom)
+	return f
+}
+
+// normal returns the partition's fit (see normalModel).
+func (d *DeepSea) normal(ps *partStats, now float64, decay stats.Decay) stats.NormalModel {
+	if !ps.fitted {
+		ps.model = d.normalModel(ps.pstat, now, decay)
+		ps.fitted = true
+	}
+	return ps.model
+}
+
+// fragBenefit returns the admission benefit of the partition's fragment
+// iv under the configured policy. For the full DeepSea policy hits are
+// smoothed by the partition's MLE normal fit (Section 7.1's
+// probabilistic model).
+func (d *DeepSea) fragBenefit(ps *partStats, iv interval.Interval, now float64, decay stats.Decay) float64 {
+	if ps.pstat == nil {
 		return 0
 	}
-	f := pstat.Frag(iv)
-	d.refreshFragSize(f, viewID, pstat)
+	f := ps.frag(iv)
+	vs := ps.vs
 	switch d.Cfg.Selection {
 	case SelectDeepSea:
-		model := d.normalModel(viewID, attr, pstat, now, decay)
-		if model.Valid() {
+		if model := d.normal(ps, now, decay); model.Valid() {
 			return f.BenefitFromHits(model.AdjustedHits(iv), vs.Size, vs.Cost)
 		}
 		return f.Benefit(now, decay, vs.Size, vs.Cost)
@@ -292,38 +375,39 @@ func (d *DeepSea) fragBenefit(viewID, attr string, iv interval.Interval, now flo
 }
 
 // refreshFragSize re-derives an unmeasured fragment's size estimate from
-// the current view size: early size estimates can be stale (the view's
-// own size is refined once the view is first captured).
-func (d *DeepSea) refreshFragSize(f *stats.FragStat, viewID string, pstat *stats.PartitionStat) {
+// the current size of its view vs over the partition domain dom: early
+// size estimates can be stale (the view's own size is refined once the
+// view is first captured).
+func refreshFragSize(f *stats.FragStat, vs *stats.ViewStat, dom interval.Interval) {
 	if f.Measured {
 		return
 	}
-	if est := d.uniformFragSize(viewID, pstat.Dom, f.Iv); est > 0 {
+	if est := uniformSize(vs, dom, f.Iv); est > 0 {
 		f.Size = est
 	}
 }
 
-// mleKey identifies one (view, attribute) partition in the mleCache.
-type mleKey struct{ view, attr string }
-
-// normalModel memoizes FitNormal per (view, attr) within one simulated
-// timestamp — selection evaluates many fragments of the same partition.
-func (d *DeepSea) normalModel(viewID, attr string, pstat *stats.PartitionStat, now float64, decay stats.Decay) stats.NormalModel {
+// normalModel memoizes FitNormal per partition within one simulated
+// timestamp — selection values many fragments of the same partition,
+// and every query planned at the same timestamp reuses the fit.
+func (d *DeepSea) normalModel(pstat *stats.PartitionStat, now float64, decay stats.Decay) stats.NormalModel {
 	if d.mleCacheTime != now || d.mleCache == nil {
-		d.mleCache = make(map[mleKey]stats.NormalModel)
+		if d.mleCache == nil {
+			d.mleCache = make(map[*stats.PartitionStat]stats.NormalModel)
+		}
+		clear(d.mleCache)
 		d.mleCacheTime = now
 	}
-	key := mleKey{viewID, attr}
-	if m, ok := d.mleCache[key]; ok {
+	if m, ok := d.mleCache[pstat]; ok {
 		return m
 	}
 	m := pstat.FitNormal(now, decay)
-	d.mleCache[key] = m
+	d.mleCache[pstat] = m
 	return m
 }
 
-// fragValue returns the ranking value of a fragment under the configured
-// policy.
+// fragValue returns the ranking value of the partition's fragment iv
+// under the configured policy.
 //
 // For the DeepSea policies the paper's Φ(I) = COST(V)·B(I)/S(I) is
 // algebraically size-independent (the S(I) terms cancel into
@@ -333,17 +417,12 @@ func (d *DeepSea) normalModel(viewID, attr string, pstat *stats.PartitionStat, n
 // 1/S structure the paper's view formula already has. Among equal-size
 // fragments the ordering is unchanged (still by adjusted hits), so the
 // fragment-correlation behaviour of Section 10.3 is preserved.
-func (d *DeepSea) fragValue(viewID, attr string, iv interval.Interval, now float64, decay stats.Decay) float64 {
-	vs, ok := d.Stats.LookupView(viewID)
-	if !ok {
+func (d *DeepSea) fragValue(ps *partStats, iv interval.Interval, now float64, decay stats.Decay) float64 {
+	if ps.pstat == nil {
 		return 0
 	}
-	pstat, ok := d.Stats.LookupPartition(viewID, attr)
-	if !ok {
-		return 0
-	}
-	f := pstat.Frag(iv)
-	d.refreshFragSize(f, viewID, pstat)
+	f := ps.frag(iv)
+	vs := ps.vs
 	density := func(v float64) float64 {
 		if f.Size <= 0 {
 			return 0
@@ -352,8 +431,7 @@ func (d *DeepSea) fragValue(viewID, attr string, iv interval.Interval, now float
 	}
 	switch d.Cfg.Selection {
 	case SelectDeepSea:
-		model := d.normalModel(viewID, attr, pstat, now, decay)
-		if model.Valid() {
+		if model := d.normal(ps, now, decay); model.Valid() {
 			return density(f.ValueFromHits(model.AdjustedHits(iv), vs.Size, vs.Cost))
 		}
 		return density(f.Value(now, decay, vs.Size, vs.Cost))

@@ -2,6 +2,9 @@ package datastore
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -268,5 +271,48 @@ func TestNullStore(t *testing.T) {
 	}
 	if st := n.Stats(); st != (StoreStats{}) {
 		t.Errorf("Null.Stats = %+v, want zeros", st)
+	}
+}
+
+// TestFileStoreLineFraming pins the journal's bytes: every line is
+// "<crc32c as 8 hex digits> <json.Marshal of the record>\n", whatever
+// the checksum's leading zeros and whatever the payload escapes.
+func TestFileStoreLineFraming(t *testing.T) {
+	dir := t.TempDir()
+	s := openT(t, dir)
+	var recs []Record
+	leadingZero := false
+	for i := 0; i < 200 || !leadingZero; i++ {
+		rec := Record{
+			Op: "hit", View: fmt.Sprintf("R{a,b}<&>%d ✓", i), Attr: "ss_item_sk",
+			Iv: interval.New(int64(i), int64(i*i)), T: float64(i) / 3, Marks: map[string]int64{"b": 2, "a": int64(i)},
+		}
+		if err := s.Append(&rec); err != nil {
+			t.Fatalf("Append %d: %v", i, err)
+		}
+		recs = append(recs, rec)
+		payload, _ := json.Marshal(rec)
+		leadingZero = leadingZero || crc32.Checksum(payload, crcTable) < 1<<28
+		if i > 10000 {
+			t.Fatal("no checksum with a leading zero digit")
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, journalName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	for _, rec := range recs {
+		payload, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&want, "%08x %s\n", crc32.Checksum(payload, crcTable), payload)
+	}
+	if !bytes.Equal(data, want.Bytes()) {
+		t.Fatalf("journal bytes differ from the reference framing:\n got %.300q\nwant %.300q", data, want.Bytes())
 	}
 }

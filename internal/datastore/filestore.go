@@ -59,9 +59,16 @@ type FileStore struct {
 	tornFix  uint64
 	lastErr  error
 	journalW *bufio.Writer
+
+	// line is the journal line being framed, reused across appends, and
+	// enc the JSON encoder writing into it; both guarded by mu.
+	line bytes.Buffer
+	enc  *json.Encoder
 }
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
+
+const hexDigits = "0123456789abcdef"
 
 // Open opens (creating if needed) a file-backed store rooted at dir. It
 // repairs a torn journal tail left by a crash and positions the sequence
@@ -72,6 +79,7 @@ func Open(dir string) (*FileStore, error) {
 		return nil, fmt.Errorf("datastore: open %s: %w", dir, err)
 	}
 	s := &FileStore{dir: dir}
+	s.enc = json.NewEncoder(&s.line)
 
 	if snap, err := s.readSnapshotFile(); err != nil {
 		return nil, err
@@ -183,17 +191,22 @@ func (s *FileStore) appendLocked(rec *Record) error {
 		s.lastErr = err
 		return fmt.Errorf("datastore: append: %w", err)
 	}
-	payload, err := json.Marshal(rec)
-	if err != nil {
+	// Frame the line in place: a checksum placeholder, then the payload
+	// as json.Marshal encodes it plus the newline Encode appends, then
+	// the checksum over the payload written over the placeholder.
+	s.line.Reset()
+	s.line.WriteString("00000000 ")
+	if err := s.enc.Encode(rec); err != nil {
 		s.appendE++
 		s.lastErr = err
 		return fmt.Errorf("datastore: encode record: %w", err)
 	}
-	sum := crc32.Checksum(payload, crcTable)
-	line := make([]byte, 0, len(payload)+12)
-	line = append(line, []byte(fmt.Sprintf("%08x ", sum))...)
-	line = append(line, payload...)
-	line = append(line, '\n')
+	line := s.line.Bytes()
+	sum := crc32.Checksum(line[9:len(line)-1], crcTable)
+	for i := 7; i >= 0; i-- {
+		line[i] = hexDigits[sum&0xf]
+		sum >>= 4
+	}
 	if _, err := s.journalW.Write(line); err != nil {
 		s.appendE++
 		s.lastErr = err

@@ -674,3 +674,35 @@ func TestPhysicalMatchingSkipsCompensatedRewritings(t *testing.T) {
 		t.Error("logical matching did not offer more rewritings than physical")
 	}
 }
+
+// TestFilterTreeSharesFamilySlices checks that views differing only in
+// their ranges share their family's signature slices and schema in the
+// index, and that sharing changes no key.
+func TestFilterTreeSharesFamilySlices(t *testing.T) {
+	ft := NewFilterTree()
+	var entries []*Entry
+	for _, iv := range []interval.Interval{interval.New(0, 10), interval.New(5, 500)} {
+		n := selPlan(iv.Lo, iv.Hi)
+		sig := signature.Of(n)
+		e := &Entry{ID: sig.Key(), Sig: sig, Schema: n.Schema()}
+		ft.Add(e)
+		if sig.Key() != e.ID {
+			t.Fatalf("sharing changed the key of %s", e.ID)
+		}
+		entries = append(entries, e)
+	}
+	a, b := entries[0], entries[1]
+	if &a.Sig.Relations[0] != &b.Sig.Relations[0] || &a.Sig.Output[0] != &b.Sig.Output[0] ||
+		&a.Sig.JoinPairs[0] != &b.Sig.JoinPairs[0] {
+		t.Error("family members keep separate signature slices")
+	}
+	if &a.Schema.Cols[0] != &b.Schema.Cols[0] || &a.Sig.Schema().Cols[0] != &b.Sig.Schema().Cols[0] {
+		t.Error("family members keep separate schemas")
+	}
+	if b.Sig.GroupBy != nil || b.Sig.Aggs != nil {
+		t.Error("sharing turned nil slices non-nil")
+	}
+	if a.Sig.Ranges["ss_item_sk"] == b.Sig.Ranges["ss_item_sk"] {
+		t.Error("ranges were shared")
+	}
+}

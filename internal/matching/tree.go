@@ -6,6 +6,7 @@
 package matching
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -83,12 +84,46 @@ func (ft *FilterTree) Add(e *Entry) {
 	}
 	next.byID[e.ID] = e
 	famKey := e.Sig.FamilyKey()
+	if members := cur.families[famKey]; len(members) > 0 {
+		shareFamily(e, members[0])
+	}
 	fam := make([]*Entry, 0, len(cur.families[famKey])+1)
 	fam = append(fam, cur.families[famKey]...)
 	fam = append(fam, e)
 	sort.Slice(fam, func(i, j int) bool { return fam[i].ID < fam[j].ID })
 	next.families[famKey] = fam
 	ft.state.Store(next)
+}
+
+// shareFamily points e at the slices of family member m that equal its
+// own. A family's views differ mostly in their ranges, so the index
+// then keeps one copy of their relations, joins, grouping, aggregates,
+// outputs and schema however many views it tracks. Signatures and
+// schemas are not mutated once built, which makes the sharing safe;
+// empty slices are left alone so nil stays nil.
+func shareFamily(e, m *Entry) {
+	s, o := e.Sig, m.Sig
+	for _, f := range [][2]*[]string{
+		{&s.Relations, &o.Relations},
+		{&s.JoinPairs, &o.JoinPairs},
+		{&s.GroupBy, &o.GroupBy},
+		{&s.Aggs, &o.Aggs},
+		{&s.Output, &o.Output},
+	} {
+		if len(*f[0]) > 0 && slices.Equal(*f[0], *f[1]) {
+			*f[0] = *f[1]
+		}
+	}
+	if sameSchema(e.Schema, m.Schema) {
+		e.Schema = m.Schema
+	}
+	if sameSchema(s.Schema(), o.Schema()) {
+		s.SetSchema(o.Schema())
+	}
+}
+
+func sameSchema(a, b relation.Schema) bool {
+	return len(a.Cols) > 0 && a.Name == b.Name && slices.Equal(a.Cols, b.Cols)
 }
 
 // Lookup returns the entry with the given ID. Lock-free.

@@ -142,6 +142,26 @@ func (p *Partition) Cover(want interval.Interval) (frags []Fragment, reads []int
 	return frags, reads, gaps
 }
 
+// Covers reports whether the fragments' union contains want, i.e.
+// whether Cover(want) would return no gaps. It walks the sorted
+// fragments once and allocates nothing.
+func (p *Partition) Covers(want interval.Interval) bool {
+	next := want.Lo // first point not yet covered
+	for _, f := range p.frags {
+		if next > want.Hi {
+			break
+		}
+		if f.Iv.Hi < next {
+			continue
+		}
+		if f.Iv.Lo > next {
+			return false
+		}
+		next = f.Iv.Hi + 1
+	}
+	return next > want.Hi
+}
+
 // complementWithin returns the maximal subintervals of want not occupied
 // by the (sorted, disjoint) gaps.
 func complementWithin(want interval.Interval, gaps []interval.Interval) []interval.Interval {

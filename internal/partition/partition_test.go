@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"math/rand"
 	"testing"
 
 	"deepsea/internal/interval"
@@ -252,5 +253,39 @@ func TestBoundTinyDomain(t *testing.T) {
 	out := Bound([]interval.Interval{interval.New(0, 2)}, sizeOf, 10, 0)
 	if len(out) != 3 {
 		t.Fatalf("Bound produced %d intervals, want 3: %v", len(out), out)
+	}
+}
+
+func TestCoversMatchesCover(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 500; trial++ {
+		overlapping := trial%2 == 1
+		p := New("v", "a", interval.New(0, 999), overlapping)
+		next := int64(0)
+		for next <= 999 {
+			hi := min(next+rng.Int63n(200), 999)
+			if rng.Intn(4) != 0 { // leave some holes
+				p.Add(Fragment{Iv: interval.New(next, hi), Size: 1})
+			}
+			if overlapping && rng.Intn(3) == 0 {
+				lo := rng.Int63n(1000)
+				p.Add(Fragment{Iv: interval.New(lo, min(lo+rng.Int63n(300), 999)), Size: 1})
+			}
+			next = hi + 1
+		}
+		for q := 0; q < 20; q++ {
+			lo := rng.Int63n(1100) - 50
+			want := interval.New(lo, lo+rng.Int63n(400))
+			_, _, gaps := p.Cover(want)
+			if got := p.Covers(want); got != (len(gaps) == 0) {
+				t.Fatalf("trial %d: Covers(%s) = %v, Cover gaps %v over %v", trial, want, got, gaps, p.Intervals())
+			}
+		}
+	}
+	p := New("v", "a", interval.New(0, 99), false)
+	p.Add(Fragment{Iv: interval.New(0, 49)})
+	p.Add(Fragment{Iv: interval.New(50, 99)})
+	if n := testing.AllocsPerRun(10, func() { p.Covers(interval.New(10, 90)) }); n != 0 {
+		t.Errorf("Covers allocated %v times per run, want 0", n)
 	}
 }

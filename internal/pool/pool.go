@@ -5,8 +5,12 @@
 package pool
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -489,11 +493,23 @@ type Candidate struct {
 }
 
 // Key returns a stable identity for the candidate.
-func (c Candidate) Key() string {
+func (c Candidate) Key() string { return string(appendKey(nil, &c)) }
+
+// appendKey appends c's Key to b: "view:<id>" for a whole view,
+// "frag:<id>:<attr>:[<lo>,<hi>]" for a fragment.
+func appendKey(b []byte, c *Candidate) []byte {
 	if c.Kind == WholeView {
-		return "view:" + c.ViewID
+		return append(append(b, "view:"...), c.ViewID...)
 	}
-	return fmt.Sprintf("frag:%s:%s:%s", c.ViewID, c.Attr, c.Iv)
+	b = append(b, "frag:"...)
+	b = append(b, c.ViewID...)
+	b = append(b, ':')
+	b = append(b, c.Attr...)
+	b = append(b, ":["...)
+	b = strconv.AppendInt(b, c.Iv.Lo, 10)
+	b = append(b, ',')
+	b = strconv.AppendInt(b, c.Iv.Hi, 10)
+	return append(b, ']')
 }
 
 // SelectGreedy implements Section 7.3: rank ALLCAND by value in
@@ -506,27 +522,65 @@ func (c Candidate) Key() string {
 // skip elements that do not fit and continue (first-fit decreasing), the
 // operational reading of the greedy. Ties prefer candidates already in
 // the pool (avoiding pointless churn), then lower keys for determinism.
-// The returned slices partition cands into kept and rejected.
+// The returned slices partition cands into kept and rejected, each in
+// rank order; they share one backing array.
+//
+// The ranking sorts indices into cands, not the candidates themselves,
+// and renders keys, into reused buffers, only to break a tie of value
+// and residency.
 func SelectGreedy(cands []Candidate, smax int64) (keep, reject []Candidate) {
-	ranked := append([]Candidate(nil), cands...)
-	sort.Slice(ranked, func(i, j int) bool {
-		a, b := ranked[i], ranked[j]
-		if a.Value != b.Value {
-			return a.Value > b.Value
-		}
-		if a.InPool != b.InPool {
-			return a.InPool
-		}
-		return a.Key() < b.Key()
-	})
+	r := rankers.Get().(*ranker)
+	order := r.order[:0]
+	for i := range cands {
+		order = append(order, i)
+	}
+	slices.SortFunc(order, func(i, j int) int { return r.compare(&cands[i], &cands[j]) })
+
+	out := make([]Candidate, len(cands))
+	nk, nr := 0, 0
 	var used int64
-	for _, c := range ranked {
+	for _, i := range order {
+		c := &cands[i]
 		if smax > 0 && used+c.Size > smax {
-			reject = append(reject, c)
+			order[nr] = i // rejected indices, compacted in rank order
+			nr++
 			continue
 		}
 		used += c.Size
-		keep = append(keep, c)
+		out[nk] = *c
+		nk++
 	}
-	return keep, reject
+	for j, i := range order[:nr] {
+		out[nk+j] = cands[i]
+	}
+	r.order = order
+	rankers.Put(r)
+	return out[:nk:nk], out[nk:]
+}
+
+// ranker holds SelectGreedy's scratch buffers: the index permutation
+// and the two rendered keys of a tie.
+type ranker struct {
+	order  []int
+	ka, kb []byte
+}
+
+// rankers recycles rankers across selection rounds.
+var rankers = sync.Pool{New: func() any { return new(ranker) }}
+
+// compare orders a before b when it ranks higher: larger value, then
+// already in the pool, then the smaller key.
+func (r *ranker) compare(a, b *Candidate) int {
+	if c := cmp.Compare(b.Value, a.Value); c != 0 {
+		return c
+	}
+	if a.InPool != b.InPool {
+		if a.InPool {
+			return -1
+		}
+		return 1
+	}
+	r.ka = appendKey(r.ka[:0], a)
+	r.kb = appendKey(r.kb[:0], b)
+	return bytes.Compare(r.ka, r.kb)
 }

@@ -1,6 +1,10 @@
 package pool
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"deepsea/internal/interval"
@@ -220,5 +224,64 @@ func TestPartAttrsSorted(t *testing.T) {
 	got := v.PartAttrs()
 	if len(got) != 2 || got[0] != "alpha" || got[1] != "zeta" {
 		t.Errorf("PartAttrs = %v", got)
+	}
+}
+
+// TestSelectGreedyMatchesStringKeyRanking pins the index sort and its
+// allocation-free tie-break to a sort of candidate copies by the same
+// rule with Key strings, over rounds full of value ties.
+func TestSelectGreedyMatchesStringKeyRanking(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 200; trial++ {
+		cands, smax := benchCandidates(1 + rng.Intn(80))
+		for i := range cands {
+			switch rng.Intn(4) {
+			case 0: // ids that are prefixes of each other
+				cands[i].ViewID = cands[i].ViewID[:1+rng.Intn(len(cands[i].ViewID))]
+			case 1:
+				cands[i].Iv = interval.New(-rng.Int63n(1000), rng.Int63n(100000))
+			}
+		}
+		if trial%5 == 0 {
+			smax = 0
+		}
+		ranked := append([]Candidate(nil), cands...)
+		sort.SliceStable(ranked, func(i, j int) bool {
+			a, b := ranked[i], ranked[j]
+			if a.Value != b.Value {
+				return a.Value > b.Value
+			}
+			if a.InPool != b.InPool {
+				return a.InPool
+			}
+			return a.Key() < b.Key()
+		})
+		var wantKeep, wantReject []Candidate
+		var used int64
+		for _, c := range ranked {
+			if smax > 0 && used+c.Size > smax {
+				wantReject = append(wantReject, c)
+				continue
+			}
+			used += c.Size
+			wantKeep = append(wantKeep, c)
+		}
+		keep, reject := SelectGreedy(cands, smax)
+		if !reflect.DeepEqual(keep, wantKeep) && (len(keep) > 0 || len(wantKeep) > 0) {
+			t.Fatalf("trial %d: keep = %v, want %v", trial, keep, wantKeep)
+		}
+		if !reflect.DeepEqual(reject, wantReject) && (len(reject) > 0 || len(wantReject) > 0) {
+			t.Fatalf("trial %d: reject = %v, want %v", trial, reject, wantReject)
+		}
+	}
+}
+
+func TestCandidateKeyFormat(t *testing.T) {
+	f := Candidate{Kind: Frag, ViewID: "R{a}", Attr: "x", Iv: interval.New(-5, 12)}
+	if got, want := f.Key(), fmt.Sprintf("frag:%s:%s:%s", f.ViewID, f.Attr, f.Iv); got != want {
+		t.Errorf("fragment Key() = %q, want %q", got, want)
+	}
+	if got := (Candidate{Kind: WholeView, ViewID: "R{a}"}).Key(); got != "view:R{a}" {
+		t.Errorf("view Key() = %q", got)
 	}
 }

@@ -40,13 +40,6 @@ func (m NormalModel) AdjustedHits(iv interval.Interval) float64 {
 	return m.Htotal * (m.CDF(float64(iv.Hi)) - m.CDF(float64(iv.Lo)))
 }
 
-// fitPart is one boundary-aligned part of a FitNormal quantization and
-// the hit mass spread onto it.
-type fitPart struct {
-	iv   interval.Interval
-	hits float64
-}
-
 // FitNormal computes the maximum-likelihood normal distribution for the
 // partition's observed hits, following Section 7.1:
 //
@@ -63,56 +56,39 @@ type fitPart struct {
 // are evaluated with x_i the part midpoints, w_i the per-part hits, and
 // n the number of parts (the paper's adjusted sample variance).
 //
-// A fit costs O(F log F + overlaps) for F tracked fragments: the parts
-// are sorted and disjoint, so each fragment binary-searches its first
-// part and stops at the first part past its end. Fragments are visited
-// in (Lo, Hi) order and each part's additions happen in that order, so
-// the result does not depend on how the overlaps were found.
+// The cuts between parts and each fragment's first part form a skeleton
+// that depends only on the fragment set, so it is rebuilt (O(F log F))
+// only after the set changed. A fit on an unchanged set costs
+// O(F + overlaps): each fragment's decayed hits come from its expiry
+// cursor, and its spread walks from its first part to the first part
+// past its end. Fragments are visited in (Lo, Hi) order and each part's
+// additions happen in that order, so the result does not depend on how
+// the overlaps were found.
 func (p *PartitionStat) FitNormal(tnow float64, d Decay) NormalModel {
 	frags := p.order
 	if len(frags) == 0 {
 		return NormalModel{}
 	}
-
-	// Collect boundary-aligned atoms: cuts at every fragment Lo and
-	// Hi+1, clamped to the domain.
-	cuts := append(p.fitCuts[:0], p.Dom.Lo, p.Dom.Hi+1)
-	for _, f := range frags {
-		if f.Iv.Lo >= p.Dom.Lo && f.Iv.Lo <= p.Dom.Hi {
-			cuts = append(cuts, f.Iv.Lo)
-		}
-		if f.Iv.Hi+1 > p.Dom.Lo && f.Iv.Hi+1 <= p.Dom.Hi+1 {
-			cuts = append(cuts, f.Iv.Hi+1)
-		}
+	if p.fitGen != p.gen {
+		p.buildFitSkeleton()
 	}
-	slices.Sort(cuts)
-	cuts = slices.Compact(cuts)
-	p.fitCuts = cuts
-
-	parts := p.fitParts[:0]
-	for i := 0; i+1 < len(cuts); i++ {
-		parts = append(parts, fitPart{iv: interval.New(cuts[i], cuts[i+1]-1)})
-	}
-	p.fitParts = parts
+	cuts, parts := p.fitCuts, p.fitHits
+	clear(parts)
 
 	// Spread each fragment's decayed hits over the parts it contains,
 	// proportionally to part length.
 	var htotal float64
-	for _, f := range frags {
-		h := f.DecayedHits(tnow, d)
+	for i, f := range frags {
+		h := f.decayedHits(tnow, d)
 		htotal += h
 		if h == 0 {
 			continue
 		}
 		fragLen := float64(f.Iv.Len())
-		// First part ending at or after the fragment's start.
-		i, _ := slices.BinarySearchFunc(parts, f.Iv.Lo, func(pt fitPart, lo int64) int {
-			return cmp.Compare(pt.iv.Hi, lo)
-		})
-		for ; i < len(parts) && parts[i].iv.Lo <= f.Iv.Hi; i++ {
-			ov := parts[i].iv.OverlapLen(f.Iv)
+		for j := int(p.fitFirst[i]); j < len(parts) && cuts[j] <= f.Iv.Hi; j++ {
+			ov := part(cuts, j).OverlapLen(f.Iv)
 			if ov > 0 {
-				parts[i].hits += h * float64(ov) / fragLen
+				parts[j] += h * float64(ov) / fragLen
 			}
 		}
 	}
@@ -121,18 +97,20 @@ func (p *PartitionStat) FitNormal(tnow float64, d Decay) NormalModel {
 	}
 
 	var wsum, mu float64
-	for _, pt := range parts {
-		x := float64(pt.iv.Lo+pt.iv.Hi) / 2
-		mu += pt.hits * x
-		wsum += pt.hits
+	for j, w := range parts {
+		iv := part(cuts, j)
+		x := float64(iv.Lo+iv.Hi) / 2
+		mu += w * x
+		wsum += w
 	}
 	mu /= wsum
 
 	var variance float64
-	for _, pt := range parts {
-		x := float64(pt.iv.Lo+pt.iv.Hi) / 2
+	for j, w := range parts {
+		iv := part(cuts, j)
+		x := float64(iv.Lo+iv.Hi) / 2
 		dx := x - mu
-		variance += pt.hits * dx * dx
+		variance += w * dx * dx
 	}
 	variance /= wsum
 	n := len(parts)
@@ -143,12 +121,49 @@ func (p *PartitionStat) FitNormal(tnow float64, d Decay) NormalModel {
 	if sigma <= 0 {
 		// All mass on a single part: fall back to that part's extent so
 		// the model still concentrates probability near the hot spot.
-		for _, pt := range parts {
-			if pt.hits > 0 {
-				sigma = math.Max(float64(pt.iv.Len())/4, 1)
+		for j, w := range parts {
+			if w > 0 {
+				sigma = math.Max(float64(part(cuts, j).Len())/4, 1)
 				break
 			}
 		}
 	}
 	return NormalModel{Mu: mu, Sigma: sigma, Htotal: htotal, Parts: n}
+}
+
+// part returns the j-th part between the sorted, distinct cuts.
+func part(cuts []int64, j int) interval.Interval {
+	return interval.Interval{Lo: cuts[j], Hi: cuts[j+1] - 1}
+}
+
+// buildFitSkeleton rebuilds the cut list, the per-part hit buffer and
+// each fragment's first part from the current fragment set, reusing
+// the buffers.
+func (p *PartitionStat) buildFitSkeleton() {
+	// Cuts at every fragment Lo and Hi+1, clamped to the domain.
+	cuts := append(p.fitCuts[:0], p.Dom.Lo, p.Dom.Hi+1)
+	for _, f := range p.order {
+		if f.Iv.Lo >= p.Dom.Lo && f.Iv.Lo <= p.Dom.Hi {
+			cuts = append(cuts, f.Iv.Lo)
+		}
+		if f.Iv.Hi+1 > p.Dom.Lo && f.Iv.Hi+1 <= p.Dom.Hi+1 {
+			cuts = append(cuts, f.Iv.Hi+1)
+		}
+	}
+	slices.Sort(cuts)
+	cuts = slices.Compact(cuts)
+	p.fitCuts = cuts
+	p.fitHits = slices.Grow(p.fitHits[:0], len(cuts)-1)[:len(cuts)-1]
+
+	// First part ending at or after each fragment's start: part j ends
+	// at cuts[j+1]-1.
+	first := p.fitFirst[:0]
+	for _, f := range p.order {
+		j, _ := slices.BinarySearchFunc(cuts[1:], f.Iv.Lo, func(c, lo int64) int {
+			return cmp.Compare(c-1, lo)
+		})
+		first = append(first, int32(j))
+	}
+	p.fitFirst = first
+	p.fitGen = p.gen
 }

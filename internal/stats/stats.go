@@ -8,7 +8,6 @@ package stats
 import (
 	"cmp"
 	"fmt"
-	"hash/fnv"
 	"slices"
 	"sort"
 	"sync"
@@ -197,6 +196,9 @@ type FragStat struct {
 	Size int64
 	// Measured mirrors ViewStat.Measured.
 	Measured bool
+	// exp is the expiry cursor's position (see expAt), declared here
+	// where it packs beside Measured.
+	exp int32
 	// Hits are the retained hit timestamps, oldest first. Append via
 	// RecordHit only: timestamps must be non-decreasing so the prefix
 	// sums stay in sync. PartitionStat.PruneExpired may drop an expired
@@ -216,11 +218,18 @@ type FragStat struct {
 	dropped int
 	base    float64
 
-	// view and attr identify the owning partition for journaling; set by
-	// PartitionStat.Frag (empty for free-standing records, which then
-	// journal nothing for lack of an identity).
-	view, attr string
-	journal    *journalRef
+	// exp and expAt are the expiry cursor of decayedHits: every hit in
+	// Hits[:exp] is older than expAt. Appends keep that true (the
+	// prefix does not change) and compact shifts exp by the prefix it
+	// drops, so a later threshold >= expAt only scans forward from exp.
+	// Only the planning-lock paths (FitNormal, PruneExpired) write them,
+	// the same rule as PartitionStat's fit buffers.
+	expAt float64
+
+	// part is the owning partition, which names the record and holds
+	// the journal hook; set by PartitionStat.Frag (nil for free-standing
+	// records, which then journal nothing for lack of an identity).
+	part *PartitionStat
 }
 
 // RecordHit appends a hit timestamp. Timestamps must be non-decreasing.
@@ -231,7 +240,9 @@ func (f *FragStat) RecordHit(t float64) {
 		prev = f.cumT[n-1]
 	}
 	f.cumT = append(f.cumT, prev+t)
-	f.journal.emit(datastore.Record{Op: "hit", View: f.view, Attr: f.attr, Iv: f.Iv, T: t})
+	if p := f.part; p != nil {
+		p.journal.emit(datastore.Record{Op: "hit", View: p.View, Attr: p.Attr, Iv: f.Iv, T: t})
+	}
 }
 
 // HitCount returns the number of hits ever recorded, including those
@@ -239,6 +250,7 @@ func (f *FragStat) RecordHit(t float64) {
 func (f *FragStat) HitCount() int { return f.dropped + len(f.Hits) }
 
 // DecayedHits returns H(I) = Σ DEC(tnow, t) over the hit timestamps.
+// It only reads the record; see decayedHits for the cursor form.
 func (f *FragStat) DecayedHits(tnow float64, d Decay) float64 {
 	if len(f.Hits) == 0 || tnow <= 0 {
 		return 0
@@ -247,6 +259,42 @@ func (f *FragStat) DecayedHits(tnow float64, d Decay) float64 {
 	if d.TMax > 0 {
 		k = sort.SearchFloat64s(f.Hits, tnow-d.TMax)
 	}
+	return f.hitsFrom(k, tnow)
+}
+
+// decayedHits is DecayedHits with the first live hit found by the
+// expiry cursor, amortized O(1) while tnow does not decrease. It writes
+// the cursor: planning-lock paths only.
+func (f *FragStat) decayedHits(tnow float64, d Decay) float64 {
+	if len(f.Hits) == 0 || tnow <= 0 {
+		return 0
+	}
+	k := 0
+	if d.TMax > 0 {
+		k = f.firstLive(tnow - d.TMax)
+	}
+	return f.hitsFrom(k, tnow)
+}
+
+// firstLive returns the index of the first retained hit at or after
+// thr, as sort.SearchFloat64s(f.Hits, thr) does, and moves the expiry
+// cursor there. A threshold below the cursor's falls back to the
+// binary search.
+func (f *FragStat) firstLive(thr float64) int {
+	k := int(f.exp)
+	if thr >= f.expAt {
+		for k < len(f.Hits) && f.Hits[k] < thr {
+			k++
+		}
+	} else {
+		k = sort.SearchFloat64s(f.Hits, thr)
+	}
+	f.exp, f.expAt = int32(k), thr
+	return k
+}
+
+// hitsFrom returns the decayed hit mass of Hits[k:] at tnow > 0.
+func (f *FragStat) hitsFrom(k int, tnow float64) float64 {
 	if k >= len(f.Hits) {
 		return 0
 	}
@@ -269,7 +317,7 @@ func (f *FragStat) DecayedHits(tnow float64, d Decay) float64 {
 // DecayedHits returns the same float as on the uncompacted record.
 func (f *FragStat) compact(tnow float64, d Decay) {
 	n := len(f.Hits)
-	k := min(sort.SearchFloat64s(f.Hits, tnow-d.TMax), n-1)
+	k := min(f.firstLive(tnow-d.TMax), n-1)
 	if k <= 0 || 2*k < n {
 		return
 	}
@@ -277,6 +325,7 @@ func (f *FragStat) compact(tnow float64, d Decay) {
 	f.dropped += k
 	f.Hits = slices.Clone(f.Hits[k:])
 	f.cumT = slices.Clone(f.cumT[k:])
+	f.exp = int32(max(int(f.exp)-k, 0))
 }
 
 // Benefit returns B(I, tnow) = Σ (S(I)/S(V)) · COST(V) · DEC(tnow, t),
@@ -329,18 +378,29 @@ type PartitionStat struct {
 	// view is materialized, Cand becomes its initial partitioning.
 	Cand interval.Set
 
-	frags map[interval.Interval]*FragStat
-	// order holds the records of frags sorted by (Lo, Hi), maintained
-	// by Frag, Drop and PruneExpired so readers need no per-call sort.
+	// order holds the tracked fragment records sorted by (Lo, Hi),
+	// maintained by Frag, Drop and PruneExpired; lookups binary-search
+	// it and readers need no per-call sort.
 	order    []*FragStat
 	journal  *journalRef
 	counters *countersRef
 
-	// fitCuts and fitParts are FitNormal's scratch buffers, reused so a
-	// steady-state fit allocates nothing. Fits run only under the
-	// planning lock, so one set per partition suffices.
+	// gen counts changes to the tracked fragment set: Frag bumps it on
+	// create, Drop and PruneExpired when they delete. (Restore creates
+	// through Frag.)
+	gen uint64
+
+	// fitCuts and fitFirst are FitNormal's skeleton: the sorted cuts
+	// between parts and each fragment's first part (indexed like order).
+	// They depend only on the fragment set and Dom, so they are rebuilt
+	// only when fitGen != gen. fitHits holds the hit mass of each part;
+	// a steady-state fit only zeroes and refills it and allocates
+	// nothing. Fits run only under the planning lock, so one set per
+	// partition suffices.
+	fitGen   uint64
 	fitCuts  []int64
-	fitParts []fitPart
+	fitHits  []float64
+	fitFirst []int32
 }
 
 // RefineCand splits the candidate partitioning at the end points of the
@@ -384,21 +444,21 @@ func (p *PartitionStat) RefineCand(q interval.Interval) []interval.Interval {
 func NewPartitionStat(view, attr string, dom interval.Interval) *PartitionStat {
 	return &PartitionStat{
 		View: view, Attr: attr, Dom: dom,
-		frags: make(map[interval.Interval]*FragStat),
+		gen: 1, // no skeleton built yet (fitGen 0)
 	}
 }
 
 // Frag returns the statistics for the fragment with the given interval,
 // creating an empty record on first use.
 func (p *PartitionStat) Frag(iv interval.Interval) *FragStat {
-	f, ok := p.frags[iv]
-	if !ok {
-		f = &FragStat{Iv: iv, view: p.View, attr: p.Attr, journal: p.journal}
-		p.frags[iv] = f
-		i, _ := slices.BinarySearchFunc(p.order, iv, cmpFragIv)
-		p.order = slices.Insert(p.order, i, f)
-		p.counters.add(0, 0, 1)
+	i, ok := slices.BinarySearchFunc(p.order, iv, cmpFragIv)
+	if ok {
+		return p.order[i]
 	}
+	f := &FragStat{Iv: iv, part: p}
+	p.order = slices.Insert(p.order, i, f)
+	p.gen++
+	p.counters.add(0, 0, 1)
 	return f
 }
 
@@ -412,17 +472,18 @@ func cmpFragIv(f *FragStat, iv interval.Interval) int {
 
 // Lookup returns the fragment statistics if present.
 func (p *PartitionStat) Lookup(iv interval.Interval) (*FragStat, bool) {
-	f, ok := p.frags[iv]
-	return f, ok
+	if i, ok := slices.BinarySearchFunc(p.order, iv, cmpFragIv); ok {
+		return p.order[i], true
+	}
+	return nil, false
 }
 
 // Drop removes a fragment's statistics (used when a fragment candidate is
 // superseded by a refinement).
 func (p *PartitionStat) Drop(iv interval.Interval) {
-	if _, ok := p.frags[iv]; ok {
-		delete(p.frags, iv)
-		i, _ := slices.BinarySearchFunc(p.order, iv, cmpFragIv)
+	if i, ok := slices.BinarySearchFunc(p.order, iv, cmpFragIv); ok {
 		p.order = slices.Delete(p.order, i, i+1)
+		p.gen++
 		p.counters.add(0, 0, -1)
 		p.journal.emit(datastore.Record{Op: "frag_drop", View: p.View, Attr: p.Attr, Iv: iv})
 	}
@@ -458,20 +519,20 @@ func (p *PartitionStat) PruneExpired(tnow float64, d Decay, keep func(interval.I
 	n := 0
 	live := p.order[:0]
 	for _, f := range p.order {
-		if (keep != nil && keep(f.Iv)) || f.DecayedHits(tnow, d) > 0 {
+		if f.decayedHits(tnow, d) > 0 || (keep != nil && keep(f.Iv)) {
 			if compact {
 				f.compact(tnow, d)
 			}
 			live = append(live, f)
 			continue
 		}
-		delete(p.frags, f.Iv)
 		p.journal.emit(datastore.Record{Op: "frag_drop", View: p.View, Attr: p.Attr, Iv: f.Iv})
 		n++
 	}
 	clear(p.order[len(live):])
 	p.order = live
 	if n > 0 {
+		p.gen++
 		p.counters.add(0, 0, -n)
 	}
 	return n
@@ -545,12 +606,22 @@ func NewShardedRegistry(d Decay, n int) *Registry {
 // while no statistics are being written (initialisation or recovery).
 func (r *Registry) SetJournal(fn func(datastore.Record)) { r.journal.fn = fn }
 
-// shard maps a view id to its shard.
+// shard maps a view id to its shard by the 32-bit FNV-1a hash of the
+// id, computed inline so a lookup allocates nothing.
 func (r *Registry) shard(view string) *regShard {
-	h := fnv.New32a()
-	h.Write([]byte(view))
-	return &r.shards[h.Sum32()%uint32(len(r.shards))]
+	h := uint32(fnvOffset32)
+	for i := 0; i < len(view); i++ {
+		h ^= uint32(view[i])
+		h *= fnvPrime32
+	}
+	return &r.shards[h%uint32(len(r.shards))]
 }
+
+// FNV-1a parameters, as in hash/fnv.
+const (
+	fnvOffset32 = 2166136261
+	fnvPrime32  = 16777619
+)
 
 // View returns the statistics record for a view id, creating it on first
 // use.

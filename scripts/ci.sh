@@ -51,6 +51,10 @@
 #       epoch refresh); ingestspeed runs in the bench smoke with its
 #       floors (incremental == remat across templates and shard counts,
 #       sublinear refresh cost, bounded read p99 under ingest)
+#   12. per-layer benchmarks — every Go benchmark under internal/ runs
+#       once (-benchtime 1x), so the per-layer benchmarks (Φ selection,
+#       the greedy, the MLE fit, matching, ...) keep compiling and
+#       running; their numbers are not gated
 #
 # Reports land in BENCH_DIR (default ./bench-reports) as BENCH_<id>.json;
 # the workflow uploads them as artifacts.
@@ -156,5 +160,8 @@ $GO test -race -count=1 -run 'TestAppend|TestCacheInvalidationOnAppend|TestRemat
 $GO test -race -count=1 -run 'TestDeltaRefresh' .
 $GO test -race -count=1 -run 'TestAppendEndpoint|TestAppendBadRequests|TestAppendOwnership|TestAppendQueryConcurrentSmoke|TestCrashRecoveryMidIngest' ./internal/server
 $GO test -race -count=1 -run 'TestCoordinatorAppend' ./internal/shard
+
+echo "==> per-layer benchmarks"
+$GO test -run '^$' -bench . -benchtime 1x ./internal/...
 
 echo "==> ci passed"
